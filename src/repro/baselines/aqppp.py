@@ -25,9 +25,8 @@ from pyspark.sql import DataFrame
 from ..core import spark_build
 from ..core.kdtree import KDTree
 from ..core.partitioner import ADP, assign_partitions, cuts_to_boundaries, equal_depth_cuts
-from ..core.query import Query
-from ..core.synopsis import AqpResult
-from ..core.tree import Node
+from ..core.query import AqpResult, Query
+from ..core.tree import Node, synopsis_bytes
 from ..core.variance import LAMBDA_99, hard_bounds, stratum_estimate
 
 
@@ -78,7 +77,6 @@ class AggPlusUniform:
         value_col: str,
         n_total: float,
         *,
-        lam: float = LAMBDA_99,
         build_seconds: float = 0.0,
     ) -> None:
         self.leaves = leaves
@@ -89,29 +87,10 @@ class AggPlusUniform:
         self.pred_cols = list(pred_cols)
         self.value_col = value_col
         self.n_total = float(n_total)
-        self.lam = lam
         self.build_seconds = build_seconds
 
-    # ------------------------------------------------------------------
-
-    def _query_box(self, q: Query) -> tuple[np.ndarray, np.ndarray]:
-        d = len(self.pred_cols)
-        lo = np.full(d, -np.inf)
-        hi = np.full(d, np.inf)
-        for c, l, h in zip(q.cols, q.lo, q.hi):
-            j = self.pred_cols.index(c)
-            lo[j], hi[j] = l, h
-        return lo, hi
-
-    def _sample_mask(self, q: Query) -> np.ndarray:
-        m = np.ones(len(self.v), dtype=bool)
-        for c, l, h in zip(q.cols, q.lo, q.hi):
-            j = self.pred_cols.index(c)
-            m &= (self.x[:, j] >= l) & (self.x[:, j] <= h)
-        return m
-
     def answer(self, q: Query) -> AqpResult:
-        lo, hi = self._query_box(q)
+        lo, hi, _ = q.box(self.pred_cols)
         cls = [n.classify(lo, hi) for n in self.leaves]
         covered_ids = {n.leaf_id for n, c in zip(self.leaves, cls) if c == "covered"}
         cov = [n.stats for n, c in zip(self.leaves, cls) if c == "covered"]
@@ -121,12 +100,13 @@ class AggPlusUniform:
         cov_cnt = sum(s.count for s in cov)
         k = len(self.v)
         in_cov = np.isin(self.sample_leaf, list(covered_ids)) if covered_ids else np.zeros(k, bool)
-        gap = self._sample_mask(q) & ~in_cov
+        match = q.sample_mask(self.x, self.pred_cols)
+        gap = match & ~in_cov
 
         if q.agg in ("sum", "count"):
             base = cov_sum if q.agg == "sum" else cov_cnt
             e, var, _ = stratum_estimate(q.agg, self.v, gap, self.n_total)
-            return AqpResult(base + e, self.lam * float(np.sqrt(var)), lb, ub, processed=k)
+            return AqpResult(base + e, LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed=k)
         if q.agg == "avg":
             s_est, s_var, _ = stratum_estimate("sum", self.v, gap, self.n_total)
             c_est, c_var, _ = stratum_estimate("count", self.v, gap, self.n_total)
@@ -144,12 +124,11 @@ class AggPlusUniform:
             else:
                 cov_sc = 0.0
             var = max(0.0, (s_var + est * est * c_var - 2 * est * cov_sc)) / (tot_c * tot_c)
-            return AqpResult(est, self.lam * float(np.sqrt(var)), lb, ub, processed=k)
+            return AqpResult(est, LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed=k)
         # MIN/MAX
         cand = [s.min if q.agg == "min" else s.max for s in cov]
-        m = self._sample_mask(q)
-        if m.any():
-            cand.append(float(self.v[m].min() if q.agg == "min" else self.v[m].max()))
+        if match.any():
+            cand.append(float(self.v[match].min() if q.agg == "min" else self.v[match].max()))
         if not cand:
             return AqpResult(float("nan"), float("nan"), lb, ub, processed=k)
         est = float(min(cand) if q.agg == "min" else max(cand))
@@ -162,7 +141,7 @@ class AggPlusUniform:
     @property
     def storage_bytes(self) -> int:
         d = len(self.pred_cols)
-        return len(self.leaves) * (4 + 2 * d) * 8 + len(self.v) * (d + 1) * 8
+        return synopsis_bytes(len(self.leaves), d, len(self.v), d)
 
 
 def build_aqppp_1d(
@@ -172,10 +151,7 @@ def build_aqppp_1d(
     *,
     n_partitions: int,
     k_sample: int,
-    opt_agg: str = "sum",
     m_opt: int = 1024,
-    iters: int = 300,
-    lam: float = LAMBDA_99,
     seed: int = 0,
 ) -> AggPlusUniform:
     """AQP++: hill-climbed 1-D partitions + K-row uniform sample."""
@@ -184,7 +160,7 @@ def build_aqppp_1d(
     opt = spark_build.optimization_sample(df, value_col, [pred_col], m_opt, n_total, seed=seed)
     a = opt[value_col].to_numpy(dtype=np.float64)
     c = opt[pred_col].to_numpy(dtype=np.float64)
-    cuts = hill_climb_cuts(a, n_partitions, agg=opt_agg, iters=iters, seed=seed)
+    cuts = hill_climb_cuts(a, n_partitions, seed=seed)
     boundaries = cuts_to_boundaries(c, cuts)
     df_leaf = spark_build.with_leaf_1d(df, pred_col, boundaries)
     agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, [pred_col])
@@ -198,7 +174,6 @@ def build_aqppp_1d(
         [pred_col],
         value_col,
         n_total,
-        lam=lam,
         build_seconds=time.perf_counter() - t0,
     )
 
@@ -211,7 +186,6 @@ def build_kd_us(
     k_leaves: int,
     k_sample: int,
     m_opt: int = 2048,
-    lam: float = LAMBDA_99,
     seed: int = 0,
 ) -> AggPlusUniform:
     """KD-US: shallowest-first k-d partition aggregates + uniform sample."""
@@ -237,6 +211,5 @@ def build_kd_us(
         pred_cols,
         value_col,
         n_total,
-        lam=lam,
         build_seconds=time.perf_counter() - t0,
     )

@@ -1,6 +1,6 @@
 """ST baseline: equal-depth stratified sampling (§2.2).
 
-Implemented as a :class:`~repro.core.synopsis.PassSynopsis` with
+Implemented as a :class:`~repro.core.synopsis.PassSynopsis` built with
 ``use_aggregates=False``: identical strata, identical per-stratum samples
 and §2.2 combination formulas, but every intersecting stratum is answered
 from its sample — no exact partial aggregation and no hard bounds.
@@ -10,7 +10,6 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 
 from ..core.synopsis import PassSynopsis
-from ..core.variance import LAMBDA_99
 
 
 def build_stratified(
@@ -21,11 +20,10 @@ def build_stratified(
     n_strata: int,
     sample_total: int,
     m_opt: int = 1024,
-    lam: float = LAMBDA_99,
     seed: int = 0,
 ) -> PassSynopsis:
     """Equal-depth strata over ``pred_col`` with K/B samples each."""
-    syn = PassSynopsis.build_1d(
+    return PassSynopsis.build_1d(
         df,
         pred_col,
         value_col,
@@ -33,9 +31,6 @@ def build_stratified(
         sample_total=sample_total,
         partitioner="eq",
         m_opt=m_opt,
-        alloc="equal",
-        lam=lam,
+        use_aggregates=False,
         seed=seed,
     )
-    syn.use_aggregates = False
-    return syn

@@ -1,8 +1,14 @@
-"""Rectangular subpopulation-aggregate queries (§3.1).
+"""Rectangular subpopulation-aggregate queries (§3.1) and their answers.
 
 A query is ``AGG(A) WHERE x_i <= C_i <= y_i for 1 <= i <= d`` over the
 predicate columns ``cols``; both endpoints are inclusive, matching the
 paper's rectangular partitioning conditions.
+
+Every sampling approach (PASS, ST, US, AQP++/KD-US) evaluates a query
+through the same two helpers: :meth:`Query.box` gives the query rectangle
+over the columns a synopsis partitions on, :meth:`Query.sample_mask` the
+predicate matches among its sampled rows. All of them answer with an
+:class:`AqpResult`.
 """
 from __future__ import annotations
 
@@ -12,6 +18,19 @@ import numpy as np
 import pandas as pd
 
 AGGS = ("sum", "count", "avg", "min", "max")
+
+
+@dataclass
+class AqpResult:
+    """One approximate answer: estimate, λ·σ half-width CI, deterministic
+    hard bounds (when available), and cost accounting."""
+
+    est: float
+    ci_half: float
+    lb: float = float("nan")
+    ub: float = float("nan")
+    processed: int = 0
+    skipped_frac: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -42,6 +61,32 @@ class Query:
         for c, lo, hi in zip(self.cols, self.lo, self.hi):
             v = pdf[c].to_numpy()
             m &= (v >= lo) & (v <= hi)
+        return m
+
+    def box(self, cols: list[str]) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Query rectangle over ``cols`` (±inf for unconstrained columns)
+        and whether the query constrains a column outside ``cols`` (a
+        workload shift, §5.4.1)."""
+        lo = np.full(len(cols), -np.inf)
+        hi = np.full(len(cols), np.inf)
+        external = False
+        for c, l, h in zip(self.cols, self.lo, self.hi):
+            if c in cols:
+                j = cols.index(c)
+                lo[j], hi[j] = l, h
+            else:
+                external = True
+        return lo, hi, external
+
+    def sample_mask(self, x: np.ndarray, cols: list[str]) -> np.ndarray:
+        """Boolean match vector over sampled rows ``x`` (n, len(cols)) whose
+        columns are ``cols``; a query column the rows lack is a KeyError."""
+        m = np.ones(len(x), dtype=bool)
+        for c, l, h in zip(self.cols, self.lo, self.hi):
+            if c not in cols:
+                raise KeyError(f"query column {c!r} not in synopsis sample columns {cols}")
+            j = cols.index(c)
+            m &= (x[:, j] >= l) & (x[:, j] <= h)
         return m
 
     def truth(self, pdf: pd.DataFrame, value_col: str) -> float:

@@ -127,10 +127,9 @@ def mcf(
     return covered, partial
 
 
-def synopsis_bytes(root: Node, n_samples: int, d: int) -> int:
-    """Storage accounting: every node stores 4 aggregate stats + 2d
-    predicate extents (8 bytes each); every sampled row stores d predicate
-    values + 1 aggregate value."""
-    per_node = (4 + 2 * d) * 8
-    per_row = (d + 1) * 8
-    return root.n_nodes * per_node + n_samples * per_row
+def synopsis_bytes(n_nodes: int, d: int, n_samples: int, sample_width: int) -> int:
+    """Storage accounting shared by every sampling approach: each stored
+    partition keeps 4 aggregate stats + 2d predicate extents, each sampled
+    row its ``sample_width`` column values + 1 aggregate value (8 bytes
+    each)."""
+    return n_nodes * (4 + 2 * d) * 8 + n_samples * (sample_width + 1) * 8

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from repro import synth_data
+from repro.baselines.aqppp import build_aqppp_1d
+from repro.baselines.uniform import UniformSampling
 from repro.core.synopsis import PassSynopsis
 
 
@@ -87,6 +89,19 @@ def nyc_1d_synopsis(nyc_df) -> PassSynopsis:
         nyc_df, "pickup_time", "trip_distance", k_partitions=16,
         sample_total=800, m_opt=512, seed=7,
     )
+
+
+@pytest.fixture(scope="session")
+def us_small(intel_df) -> UniformSampling:
+    """US over the Intel stand-in: a 300-row uniform sample."""
+    return UniformSampling.build(intel_df, ["time"], "light", k=300, seed=1)
+
+
+@pytest.fixture(scope="session")
+def aqppp(intel_df):
+    """AQP++ over the Intel stand-in: 16 hill-climbed partitions + 300
+    uniform samples."""
+    return build_aqppp_1d(intel_df, "time", "light", n_partitions=16, k_sample=300, m_opt=400, seed=1)
 
 
 @pytest.fixture()

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.aqppp import AggPlusUniform, build_aqppp_1d, build_kd_us, hill_climb_cuts
+from repro.baselines.aqppp import build_kd_us, hill_climb_cuts
 from repro.baselines.deepdb_lite import DeepDBLite
 from repro.baselines.stratified import build_stratified
 from repro.baselines.uniform import UniformSampling
@@ -16,16 +16,6 @@ from repro.workload import random_queries
 def us_full(intel_df):
     """US whose sample is the entire dataset — every estimate exact."""
     return UniformSampling.build(intel_df, ["time"], "light", k=6000, seed=1)
-
-
-@pytest.fixture(scope="module")
-def us_small(intel_df):
-    return UniformSampling.build(intel_df, ["time"], "light", k=300, seed=1)
-
-
-@pytest.fixture(scope="module")
-def aqppp(intel_df):
-    return build_aqppp_1d(intel_df, "time", "light", n_partitions=16, k_sample=300, m_opt=400, seed=1)
 
 
 # -- uniform -------------------------------------------------------------
@@ -80,6 +70,9 @@ def test_st_build_and_flags(intel_df):
     st = build_stratified(intel_df, "time", "light", n_strata=8, sample_total=240, seed=2)
     assert st.use_aggregates is False
     assert len(st.leaves) == 8
+    # ST stores no tree: 8 strata × (4 + 2d) × 8 + samples × (1 + 1) × 8.
+    assert st.n_samples == 240
+    assert st.storage_bytes == 8 * 6 * 8 + 240 * 2 * 8
 
 
 def test_st_more_accurate_than_us_on_strata_aligned(intel_df, intel_pdf):

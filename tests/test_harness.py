@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core.query import Query
-from repro.core.synopsis import AqpResult
+from repro.core.query import AqpResult
 from repro.harness import EvalStats, evaluate, markdown_table, pct
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.query import Query
 from repro.core.synopsis import PassSynopsis, allocate_budget
+from repro.core.tree import Node
 from repro.oracle import assert_equivalent
 from repro.synth_data import NYC_PREDICATES
 from repro.workload import random_queries
@@ -47,6 +48,26 @@ def test_build_1d_shapes(intel_synopsis):
     assert syn.n_samples > 0
     assert syn.storage_bytes > 0
     assert syn.build_seconds > 0
+
+
+def _count_nodes(node: Node) -> int:
+    return 1 + sum(_count_nodes(c) for c in node.children)
+
+
+def test_storage_bytes_exact(intel_synopsis, nyc_kd_synopsis):
+    """Storage = nodes × (4 + 2d) × 8 + samples × (sample columns + 1) × 8:
+    the value Table 2's Storage column reads."""
+    syn = intel_synopsis
+    n_samples = sum(
+        allocate_budget([l.stats.count for l in syn.leaves], 600, "equal")
+    )
+    assert syn.n_samples == n_samples
+    assert syn.storage_bytes == _count_nodes(syn.root) * (4 + 2) * 8 + n_samples * 2 * 8
+    # 3 indexed columns; the samples also carry dropoff_time.
+    kd = nyc_kd_synopsis
+    n_samples = sum(len(v) for _, v in kd.samples.values())
+    assert n_samples > 0
+    assert kd.storage_bytes == _count_nodes(kd.root) * (4 + 6) * 8 + n_samples * 5 * 8
 
 
 def test_leaf_counts_sum_to_n(intel_synopsis):
@@ -164,26 +185,6 @@ def test_empty_region_query(intel_synopsis):
     assert np.isnan(intel_synopsis.answer(q).est)
 
 
-def test_weight_mode_paper_vs_est(intel_df, intel_pdf):
-    syn = PassSynopsis.build_1d(
-        intel_df, "time", "light", k_partitions=8, sample_total=400, m_opt=400, seed=3
-    )
-    syn.weight_mode = "paper"
-    qs = random_queries(intel_pdf, ["time"], "avg", 20, seed=29, min_count=60)
-    errs_paper = []
-    for q in qs:
-        t = q.truth(intel_pdf, "light")
-        errs_paper.append(abs(syn.answer(q).est - t) / abs(t))
-    syn.weight_mode = "est"
-    errs_est = [
-        abs(syn.answer(q).est - q.truth(intel_pdf, "light")) / abs(q.truth(intel_pdf, "light"))
-        for q in qs
-    ]
-    # Both modes must be sane; est-weighting should not be wildly worse.
-    assert np.median(errs_paper) < 0.5
-    assert np.median(errs_est) < 0.5
-
-
 def test_eq_partitioner_build(intel_df, intel_pdf):
     syn = PassSynopsis.build_1d(
         intel_df, "time", "light", k_partitions=8, sample_total=200,
@@ -220,10 +221,13 @@ def test_external_column_demotes_coverage(nyc_kd_synopsis, nyc_pdf):
     assert abs(res.est - t) / t < 0.5
 
 
-def test_external_column_missing_from_samples_raises(intel_synopsis):
+def test_external_column_missing_from_samples_raises(intel_synopsis, us_small, aqppp):
+    """PASS, US and AQP++ reject a column their samples lack with the same
+    KeyError, naming the columns they store."""
     q = Query("sum", ("nonexistent",), (0.0,), (1.0,))
-    with pytest.raises(KeyError):
-        intel_synopsis.answer(q)
+    for approach in (intel_synopsis, us_small, aqppp):
+        with pytest.raises(KeyError, match=r"'nonexistent' not in synopsis sample columns \['time'\]"):
+            approach.answer(q)
 
 
 # -- KD synopsis ---------------------------------------------------------
