@@ -10,8 +10,10 @@ Two construction policies over an m-row optimisation sample:
 
 Each expansion splits a node at the per-dimension medians of its sample,
 giving fanout 2^d. Leaf ids are dense ints; :meth:`KDTree.assign` runs a
-vectorised descent suitable for the Arrow bucketing UDF in
-``spark_build.with_leaf_fn``.
+vectorised descent, which ``spark_build.with_leaf_fn`` runs in an Arrow
+pandas UDF. (Compiling the tree into nested Catalyst ``when``s, like the
+1-D bucketing's ``CASE WHEN`` tree, made KD-PASS builds slower: each build code-generates
+a fresh expression of ~130 branches.)
 
 The per-leaf maximum-variance query is approximated with the same
 discretisations as 1-D (Appendix A.3/A.4): median-split halves for

@@ -111,32 +111,27 @@ class _SparseArgmax:
     def __init__(self, arr: np.ndarray) -> None:
         a = np.asarray(arr, dtype=np.float64)
         n = a.size
-        self.n = n
-        if n == 0:
-            self.idx = []
-            return
-        levels = max(1, int(np.floor(np.log2(n))) + 1)
-        idx = [np.arange(n)]
-        cur = np.arange(n)
         self.a = a
-        for j in range(1, levels):
+        # tab[j, p] = argmax of a over [p, p + 2^j − 1]; the tail of each
+        # row past n − 2^j is padding no query reads.
+        self.tab = np.zeros((n.bit_length(), n), dtype=np.int64)
+        cur = np.arange(n)
+        if n:
+            self.tab[0] = cur
+        for j in range(1, n.bit_length()):
             span = 1 << j
-            if span > n:
-                break
             left = cur[: n - span + 1]
             right = cur[span // 2 : n - span // 2 + 1][: n - span + 1]
-            take_right = a[right] > a[left]
-            cur = np.where(take_right, right, left)
-            idx.append(cur)
-        self.idx = idx
+            cur = np.where(a[right] > a[left], right, left)
+            self.tab[j, : cur.size] = cur
 
-    def argmax(self, lo: int, hi: int) -> int:
-        """argmax of arr over the inclusive range [lo, hi]."""
-        span = hi - lo + 1
-        j = span.bit_length() - 1
-        l = self.idx[j][lo]
-        r = self.idx[j][hi - (1 << j) + 1]
-        return int(r if self.a[r] > self.a[l] else l)
+    def argmax(self, lo, hi):
+        """argmax of arr over the inclusive range [lo, hi]; ``lo`` and
+        ``hi`` may be ints or equal-shape integer arrays (elementwise)."""
+        j = np.frexp(np.asarray(hi) - lo + 1)[1] - 1  # floor(log2(span))
+        l = self.tab[j, lo]
+        r = self.tab[j, hi - (1 << j) + 1]
+        return np.where(self.a[r] > self.a[l], r, l)
 
 
 class ADP:
@@ -162,15 +157,13 @@ class ADP:
         self.m = m = int(a.size)
         self.k_max = k_max = max(1, min(k_max, m))
         self.agg = agg
-        self.ps = PrefixStats(a)
+        self.ps = ps = PrefixStats(a)
         if agg == "avg":
             self.L = L = max(2, int(round(delta * m)))
             if m >= L:
-                csq = np.concatenate([[0.0], np.cumsum(a * a)])
-                cs = np.concatenate([[0.0], np.cumsum(a)])
                 # win[g] = Σ t² over [g−L+1, g], defined for g ∈ [L−1, m−1].
-                self.win_ssq = csq[L:] - csq[:-L]
-                self.win_sum = cs[L:] - cs[:-L]
+                self.win_ssq = ps.q[L:] - ps.q[:-L]
+                self.win_sum = ps.s[L:] - ps.s[:-L]
                 self.sparse = _SparseArgmax(self.win_ssq)
             else:
                 self.sparse = None
@@ -191,44 +184,70 @@ class ADP:
         if n < L or self.sparse is None:
             return 0.0
         g_lo, g_hi = lo + L - 1, hi  # window right endpoints, in win[] coords
-        g = self.sparse.argmax(g_lo - (L - 1), g_hi - (L - 1)) + (L - 1)
+        g = int(self.sparse.argmax(g_lo - (L - 1), g_hi - (L - 1))) + (L - 1)
         v = cal_v(n, self.win_ssq[g - (L - 1)], self.win_sum[g - (L - 1)])
         return v / (L * L)
+
+    def _mvar_many(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """:meth:`mvar` over equal-shape index arrays with ``lo ≤ hi``.
+
+        Performs the same floating-point operations in the same order
+        (``where(b > a, b, a)`` is Python's ``max(a, b)``), so every
+        element equals the scalar result bit for bit.
+        """
+        n = hi - lo + 1
+        if self.agg in ("sum", "count"):
+            s, q = self.ps.s, self.ps.q
+            mid = lo + n // 2  # q1 = [lo, mid-1], q2 = [mid, hi]
+            v1 = cal_v(n, q[mid] - q[lo], s[mid] - s[lo])
+            v2 = cal_v(n, q[hi + 1] - q[mid], s[hi + 1] - s[mid])
+            return np.where(n < 2, 0.0, np.where(v2 > v1, v2, v1))
+        L = self.L
+        if self.sparse is None:
+            return np.zeros(n.shape)
+        ok = n >= L
+        w = self.sparse.argmax(np.where(ok, lo, 0), np.where(ok, hi - (L - 1), 0))
+        return np.where(ok, cal_v(n, self.win_ssq[w], self.win_sum[w]) / (L * L), 0.0)
 
     # -- DP with monotonicity binary search (Appendix A.5) ------------------
 
     def _solve(self) -> None:
+        """Fill ``A[i][j]`` (best max-variance of i items in j partitions)
+        and ``B[i][j]`` (its last cut), one column j at a time, running
+        the binary search for every i at once."""
         m, k_max = self.m, self.k_max
-        mvar = self.mvar
-        A = [[0.0] * (k_max + 1) for _ in range(m + 1)]
-        B = [[0] * (k_max + 1) for _ in range(m + 1)]
-        for i in range(1, m + 1):
-            A[i][1] = mvar(0, i - 1)
+        A = np.zeros((m + 1, k_max + 1))
+        B = np.zeros((m + 1, k_max + 1), dtype=np.int64)
+        A[1:, 1] = self._mvar_many(np.zeros(m, dtype=np.int64), np.arange(m))
         for j in range(2, k_max + 1):
-            col_prev = j - 1
-            for i in range(1, m + 1):
-                if i <= j:
-                    # One item (or fewer) per partition — zero-variance cuts.
-                    A[i][j] = 0.0
-                    B[i][j] = i - 1
-                    continue
-                # A[h][j−1] is non-decreasing in h, mvar(h, i−1) is
-                # non-increasing: binary-search the crossing.
-                lo, hi = j - 1, i - 1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if A[mid][col_prev] >= mvar(mid, i - 1):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                best, arg = float("inf"), lo
-                for h in (lo - 1, lo, lo + 1):
-                    if j - 1 <= h <= i - 1:
-                        v = max(A[h][col_prev], mvar(h, i - 1))
-                        if v < best:
-                            best, arg = v, h
-                A[i][j] = best
-                B[i][j] = arg
+            prev = A[:, j - 1]
+            # i ≤ j: one item (or fewer) per partition — zero-variance cuts.
+            B[1 : j + 1, j] = np.arange(j)
+            end = np.arange(j, m)  # i − 1 for every i > j
+            # A[h][j−1] is non-decreasing in h, mvar(h, i−1) is
+            # non-increasing: binary-search the crossing.
+            lo = np.full(end.size, j - 1)
+            hi = end.copy()
+            act = np.flatnonzero(lo < hi)
+            while act.size:
+                mid = (lo[act] + hi[act]) // 2
+                ge = prev[mid] >= self._mvar_many(mid, end[act])
+                hi[act] = np.where(ge, mid, hi[act])
+                lo[act] = np.where(ge, lo[act], mid + 1)
+                act = act[lo[act] < hi[act]]
+            # The crossing's neighbours, first strict minimum wins.
+            best = np.full(end.size, np.inf)
+            arg = lo.copy()
+            for h in (lo - 1, lo, lo + 1):
+                ok = (h >= j - 1) & (h <= end)
+                h = np.where(ok, h, lo)
+                mv = self._mvar_many(h, end)
+                v = np.where(mv > prev[h], mv, prev[h])
+                take = ok & (v < best)
+                best = np.where(take, v, best)
+                arg = np.where(take, h, arg)
+            A[j + 1 :, j] = best
+            B[j + 1 :, j] = arg
         self.A, self.B = A, B
 
     def cuts(self, k: int) -> tuple[list[int], float]:
@@ -237,10 +256,9 @@ class ADP:
         cuts = [self.m]
         i, j = self.m, k
         while j > 1 and i > 0:
-            h = self.B[i][j]
+            h = int(self.B[i][j])
             cuts.append(h)
             i, j = h, j - 1
         cuts.append(0)
         cuts = sorted(set(cuts))
-        return cuts, self.A[self.m][k]
-
+        return cuts, float(self.A[self.m][k])

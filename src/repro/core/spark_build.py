@@ -3,9 +3,11 @@
 Everything that touches the full dataset happens here, through the
 DataFrame/Catalyst API:
 
-* leaf assignment — an Arrow-vectorised pandas UDF evaluating
-  ``np.searchsorted`` over the 1-D boundaries, or an arbitrary vectorised
-  assigner (the k-d tree descent) for multi-dimensional partitionings;
+* leaf assignment — for 1-D, a Catalyst expression: a balanced binary
+  tree of ``CASE WHEN col < b`` comparisons over the boundaries, equal to
+  ``np.searchsorted(side='right')``, so no Python worker sees the rows;
+  for multi-dimensional partitionings, an Arrow-vectorised pandas UDF
+  running an arbitrary vectorised assigner (the k-d tree descent);
 * per-leaf aggregates — one ``groupBy("leaf_id").agg(...)`` computing
   SUM/COUNT/MIN/MAX of the aggregation column plus the per-dimension
   min/max of every predicate column (the data extents the MCF classifier
@@ -33,14 +35,29 @@ LEAF_COL = "__leaf_id"
 
 
 def with_leaf_1d(df: DataFrame, pred_col: str, boundaries: np.ndarray) -> DataFrame:
-    """Attach the 1-D partition id: searchsorted over interior boundaries."""
-    b = np.asarray(boundaries, dtype=np.float64)
+    """Attach the 1-D partition id ``searchsorted(boundaries, v,
+    side='right')`` (the number of boundaries ≤ v) as a Catalyst
+    expression: a balanced ``CASE WHEN v < b[mid] THEN left ELSE right``
+    tree of depth ⌈log2 k⌉ over the k−1 sorted interior boundaries.
+    Duplicate boundaries yield empty leaves; NaN and NULL fail every
+    ``<`` and land in the last leaf, as ``searchsorted`` puts NaN.
 
-    @F.pandas_udf("long")
-    def bucket(v: pd.Series) -> pd.Series:
-        return pd.Series(np.searchsorted(b, v.to_numpy(dtype=np.float64), side="right"))
+    The tree is handed to Spark as one SQL string: composing it from
+    ``F.when``/``F.lit`` costs a few JVM round trips per node, ~0.2 s for
+    k = 64 on a 4-vCPU host against ~0.03 s for the string."""
+    b = [
+        f"{x!r}D" if np.isfinite(x) else f"CAST('{x}' AS DOUBLE)"  # exact double literals
+        for x in np.asarray(boundaries, dtype=np.float64).tolist()
+    ]
+    v = "`" + pred_col.replace("`", "``") + "`"
 
-    return df.withColumn(LEAF_COL, bucket(F.col(pred_col)))
+    def bucket(lo: int, hi: int) -> str:  # leaf ids lo..hi, split by b[lo..hi-1]
+        if lo == hi:
+            return str(lo)
+        mid = (lo + hi + 1) // 2
+        return f"CASE WHEN {v} < {b[mid - 1]} THEN {bucket(lo, mid - 1)} ELSE {bucket(mid, hi)} END"
+
+    return df.withColumn(LEAF_COL, F.expr(bucket(0, len(b))).cast("long"))
 
 
 def with_leaf_fn(
@@ -75,23 +92,21 @@ def leaves_from_aggregates(
     agg_pdf: pd.DataFrame, pred_cols: list[str], n_leaves: int
 ) -> list[Node]:
     """Materialise ordered leaf Nodes (empty leaves become count-0 nodes)."""
-    by_id = {int(r[LEAF_COL]): r for _, r in agg_pdf.iterrows()}
-    d = len(pred_cols)
-    leaves = []
-    for i in range(n_leaves):
-        r = by_id.get(i)
-        if r is None:
-            stats = PartStats(0.0, 0.0, float("inf"), float("-inf"))
-            pmin = np.full(d, np.inf)
-            pmax = np.full(d, -np.inf)
-        else:
-            stats = PartStats(
-                float(r["agg_sum"]), float(r["agg_count"]), float(r["agg_min"]), float(r["agg_max"])
-            )
-            pmin = np.array([float(r[f"pmin_{c}"]) for c in pred_cols])
-            pmax = np.array([float(r[f"pmax_{c}"]) for c in pred_cols])
-        leaves.append(Node(stats, pmin, pmax, leaf_id=i))
-    return leaves
+    ids = agg_pdf[LEAF_COL].to_numpy(dtype=np.int64)
+
+    def column(name: str, empty: float) -> np.ndarray:
+        out = np.full(n_leaves, empty)
+        out[ids] = agg_pdf[name].to_numpy(dtype=np.float64)
+        return out
+
+    sums, counts = column("agg_sum", 0.0).tolist(), column("agg_count", 0.0).tolist()
+    mins, maxs = column("agg_min", np.inf).tolist(), column("agg_max", -np.inf).tolist()
+    pmin = np.column_stack([column(f"pmin_{c}", np.inf) for c in pred_cols])
+    pmax = np.column_stack([column(f"pmax_{c}", -np.inf) for c in pred_cols])
+    return [
+        Node(PartStats(sums[i], counts[i], mins[i], maxs[i]), pmin[i], pmax[i], leaf_id=i)
+        for i in range(n_leaves)
+    ]
 
 
 def stratified_sample(

@@ -148,10 +148,15 @@ class PrefixStats:
     def __init__(self, values: np.ndarray) -> None:
         v = np.asarray(values, dtype=np.float64)
         self.n = int(v.size)
-        # Python-float lists: scalar indexing in the DP inner loop is much
-        # faster than numpy 0-d extraction.
-        self._s = np.concatenate([[0.0], np.cumsum(v)]).tolist()
-        self._q = np.concatenate([[0.0], np.cumsum(v * v)]).tolist()
+        #: Prefix sums of t and t² (index h = sum over items [0, h)), for
+        #: vectorised range sums.
+        self.s = np.concatenate([[0.0], np.cumsum(v)])
+        self.q = np.concatenate([[0.0], np.cumsum(v * v)])
+        # Python-float copies serve the scalar seg_sum/seg_ssq (ADP.mvar,
+        # the exact test-only maxima): list indexing is much faster than
+        # numpy 0-d extraction.
+        self._s = self.s.tolist()
+        self._q = self.q.tolist()
 
     def seg_sum(self, lo: int, hi: int) -> float:
         """Σ t over the inclusive index range [lo, hi]."""

@@ -43,6 +43,19 @@ def test_sparse_argmax_matches_numpy(n):
         assert a[got] == pytest.approx(a[lo : hi + 1].max())
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 33, 128])
+def test_sparse_argmax_first_maximum_on_ties(n):
+    """Ties resolve to the leftmost maximum, for scalar and array ranges."""
+    g = np.random.default_rng(n)
+    a = g.integers(0, 3, n).astype(np.float64)
+    sp = _SparseArgmax(a)
+    lo = g.integers(0, n, 200)
+    hi = np.array([g.integers(l, n) for l in lo])
+    want = [l + int(np.argmax(a[l : h + 1])) for l, h in zip(lo, hi)]
+    assert sp.argmax(lo, hi).tolist() == want
+    assert [int(sp.argmax(int(l), int(h))) for l, h in zip(lo, hi)] == want
+
+
 # -- exact DP ------------------------------------------------------------
 
 
@@ -145,6 +158,120 @@ def test_adp_always_valid(vals, k):
     cuts, v = ADP(a, k, agg="sum").cuts(k)
     assert cuts[0] == 0 and cuts[-1] == len(a)
     assert v >= -1e-9
+
+
+# -- ADP vs the scalar DP loop --------------------------------------------
+
+
+def reference_tables(opt: ADP) -> tuple[list[list[float]], list[list[int]]]:
+    """The DP of Appendix A.5 as a scalar loop, one ``opt.mvar`` call per
+    probe: the reference the vectorised ``ADP._solve`` must equal."""
+    m, k_max = opt.m, opt.k_max
+    mvar = opt.mvar
+    A = [[0.0] * (k_max + 1) for _ in range(m + 1)]
+    B = [[0] * (k_max + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        A[i][1] = mvar(0, i - 1)
+    for j in range(2, k_max + 1):
+        col_prev = j - 1
+        for i in range(1, m + 1):
+            if i <= j:
+                A[i][j] = 0.0
+                B[i][j] = i - 1
+                continue
+            lo, hi = j - 1, i - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if A[mid][col_prev] >= mvar(mid, i - 1):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            best, arg = float("inf"), lo
+            for h in (lo - 1, lo, lo + 1):
+                if j - 1 <= h <= i - 1:
+                    v = max(A[h][col_prev], mvar(h, i - 1))
+                    if v < best:
+                        best, arg = v, h
+            A[i][j] = best
+            B[i][j] = arg
+    return A, B
+
+
+def reference_cuts(A, B, m: int, k: int) -> tuple[list[int], float]:
+    cuts = [m]
+    i, j = m, k
+    while j > 1 and i > 0:
+        h = B[i][j]
+        cuts.append(h)
+        i, j = h, j - 1
+    cuts.append(0)
+    return sorted(set(cuts)), A[m][k]
+
+
+def assert_adp_matches_reference(a: np.ndarray, k: int, agg: str, delta: float = 0.01) -> None:
+    opt = ADP(a, k, agg=agg, delta=delta)
+    A, B = reference_tables(opt)
+    assert opt.A.tolist() == A
+    assert opt.B.tolist() == B
+    for kk in range(1, opt.k_max + 1):
+        cuts, v = opt.cuts(kk)
+        assert (cuts, v) == reference_cuts(A, B, opt.m, kk)
+        assert all(type(c) is int for c in cuts) and type(v) is float
+
+
+@st.composite
+def adp_inputs(draw):
+    """Value layouts that stress ties and flat regions in the DP."""
+    m = draw(st.integers(0, 60))
+    layout = draw(st.sampled_from(["random", "zeros", "equal", "duplicates", "zeros_then_tail"]))
+    if layout == "random":
+        a = draw(st.lists(st.floats(-100, 100), min_size=m, max_size=m))
+    elif layout == "zeros":
+        a = [0.0] * m
+    elif layout == "equal":
+        a = [draw(st.floats(-50, 50))] * m
+    elif layout == "duplicates":
+        a = draw(st.lists(st.sampled_from([0.0, 1.0, 7.5]), min_size=m, max_size=m))
+    else:
+        n_tail = draw(st.integers(0, m))
+        a = [0.0] * (m - n_tail) + draw(
+            st.lists(st.floats(50, 150), min_size=n_tail, max_size=n_tail)
+        )
+    agg = draw(st.sampled_from(["sum", "count", "avg"]))
+    k = draw(st.integers(1, m + 3))
+    delta = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    return np.asarray(a, dtype=np.float64), k, agg, delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(adp_inputs())
+def test_adp_tables_equal_scalar_reference(case):
+    assert_adp_matches_reference(*case)
+
+
+@pytest.mark.parametrize("agg", ["sum", "count", "avg"])
+@pytest.mark.parametrize(
+    "layout",
+    ["lognormal", "zeros", "equal", "duplicates", "zeros_then_tail"],
+)
+def test_adp_tables_equal_scalar_reference_fixed(agg, layout):
+    """Fixed inputs at the build's k = 64, including the §5.3 layout:
+    zeros, then a normal tail on the last eighth."""
+    g = np.random.default_rng(3)
+    a = {
+        "lognormal": g.lognormal(0, 1, 256),
+        "zeros": np.zeros(256),
+        "equal": np.full(256, 2.5),
+        "duplicates": g.integers(0, 3, 256).astype(np.float64),
+        "zeros_then_tail": np.concatenate([np.zeros(224), g.normal(100, 10, 32)]),
+    }[layout]
+    assert_adp_matches_reference(a, 64, agg)
+
+
+@pytest.mark.parametrize("m,k", [(0, 1), (0, 5), (1, 1), (1, 4), (2, 2), (2, 7), (3, 9)])
+@pytest.mark.parametrize("agg", ["sum", "count", "avg"])
+def test_adp_tiny_inputs_match_reference(m, k, agg):
+    assert_adp_matches_reference(np.arange(m, dtype=np.float64) * 3.0, k, agg)
 
 
 # -- boundary mapping ----------------------------------------------------

@@ -1,11 +1,14 @@
-"""Spark build path: bucketing UDFs, groupBy aggregates (oracle-checked),
-stratified window sampling."""
+"""Spark build path: leaf bucketing (Catalyst 1-D, UDF k-d), groupBy
+aggregates (oracle-checked), stratified window sampling."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core import spark_build
+from repro.core.partitioner import assign_partitions
+from repro.core.synopsis import PassSynopsis
 from repro.core.spark_build import LEAF_COL
 from repro.oracle import assert_equivalent
 
@@ -21,6 +24,68 @@ def test_with_leaf_1d_matches_searchsorted(intel_leaf_df, intel_pdf):
     got = df.select("time", LEAF_COL).toPandas().sort_values("time")
     exp = np.searchsorted(b, got["time"].to_numpy(), side="right")
     assert np.array_equal(got[LEAF_COL].to_numpy(), exp)
+
+
+EDGE_VALUES = [
+    None, float("nan"), float("-inf"), float("inf"), -0.0, 0.0,
+    -1.0, 0.5, 2.5, 3.0, 9.999, 10.0, 1e300, -1e300,
+]
+
+
+@pytest.mark.parametrize(
+    "boundaries",
+    [
+        [],  # k = 1
+        [0.0],
+        [-0.0],
+        [-1.0, 0.0, 0.0, 2.5, 2.5, 2.5, 10.0],  # on-boundary values, duplicates
+        [float("-inf"), 1.0, float("inf")],
+        [-5.0, -1.0, 0.25, 0.5, 0.75, 2.5, 3.0, 4.0, 10.0, 11.0, 12.0],
+    ],
+)
+def test_with_leaf_1d_edge_values_match_assign_partitions(spark, boundaries):
+    """The Catalyst bucketing equals the driver-side ``assign_partitions``
+    used by ``insert()``: NULL and NaN go to the last leaf, ±inf to the
+    ends, -0.0 equals 0.0, a value on a boundary goes right."""
+    schema = T.StructType(
+        [T.StructField("i", T.LongType()), T.StructField("v", T.DoubleType(), True)]
+    )
+    df = spark.createDataFrame(list(enumerate(EDGE_VALUES)), schema)
+    b = np.asarray(boundaries, dtype=np.float64)
+    got = spark_build.with_leaf_1d(df, "v", b).orderBy("i").select(LEAF_COL).toPandas()
+    v = np.array([np.nan if x is None else x for x in EDGE_VALUES])
+    assert got[LEAF_COL].tolist() == assign_partitions(v, b).tolist()
+
+
+def test_with_leaf_1d_integer_column(spark):
+    """An integer column compares as double; a name that needs quoting
+    (space, backtick) still resolves."""
+    col = "id `n` 2"
+    pdf = pd.DataFrame({col: np.arange(-3, 14, dtype=np.int64)})
+    b = np.array([-1.0, 2.0, 2.0, 4.5, 10.0])
+    got = spark_build.with_leaf_1d(spark.createDataFrame(pdf), col, b).toPandas()
+    assert got[LEAF_COL].tolist() == assign_partitions(got[col].to_numpy(float), b).tolist()
+
+
+@pytest.mark.parametrize("table", ["intel", "insta"])
+def test_build_1d_leaves_match_driver_assign(request, table):
+    """The Spark-side leaf ids agree with the synopsis's driver-side
+    ``assign`` (the routing ``insert()`` uses): every sampled row maps to
+    its own leaf, and leaf counts equal a bincount over all rows. Insta's
+    discrete ``product_id`` gives repeated boundaries (empty leaves)."""
+    df = request.getfixturevalue(f"{table}_df")
+    pdf = request.getfixturevalue(f"{table}_pdf")
+    pred, value = {"intel": ("time", "light"), "insta": ("product_id", "reordered")}[table]
+    syn = PassSynopsis.build_1d(
+        df, pred, value, k_partitions=64, sample_total=800, m_opt=512, seed=5
+    )
+    for lid, (x, _) in syn.samples.items():
+        assert np.all(syn.assign(x) == lid)
+    ids = syn.assign(pdf[[pred]].to_numpy(np.float64))
+    counts = np.bincount(ids, minlength=len(syn.leaves))
+    assert counts.tolist() == [l.stats.count for l in syn.leaves]
+    if table == "insta":
+        assert 0 in counts
 
 
 def test_leaf_aggregates_against_duckdb_oracle(intel_leaf_df, intel_pdf):
