@@ -165,7 +165,7 @@ def build_aqppp_1d(
     df_leaf = spark_build.with_leaf_1d(df, pred_col, boundaries)
     agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, [pred_col])
     leaves = spark_build.leaves_from_aggregates(agg_pdf, [pred_col], len(boundaries) + 1)
-    sample = spark_build.uniform_sample(df, value_col, [pred_col], k_sample, seed=seed)
+    sample = spark_build.uniform_sample(df, value_col, [pred_col], k_sample, n_total, seed=seed)
     return AggPlusUniform(
         leaves,
         lambda x: assign_partitions(x[:, 0], boundaries),
@@ -202,7 +202,7 @@ def build_kd_us(
     df_leaf = spark_build.with_leaf_fn(df, pred_cols, kd.assign)
     agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols)
     leaves = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, kd.n_leaves)
-    sample = spark_build.uniform_sample(df, value_col, pred_cols, k_sample, seed=seed)
+    sample = spark_build.uniform_sample(df, value_col, pred_cols, k_sample, n_total, seed=seed)
     return AggPlusUniform(
         leaves,
         kd.assign,

@@ -44,7 +44,7 @@ class UniformSampling:
     ) -> "UniformSampling":
         t0 = time.perf_counter()
         n_total = df.count()
-        pdf = spark_build.uniform_sample(df, value_col, pred_cols, k, seed=seed)
+        pdf = spark_build.uniform_sample(df, value_col, pred_cols, k, n_total, seed=seed)
         return cls(
             pdf[pred_cols].to_numpy(dtype=np.float64),
             pdf[value_col].to_numpy(dtype=np.float64),

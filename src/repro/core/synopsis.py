@@ -96,29 +96,30 @@ class PassSynopsis:
         use_aggregates: bool = True,
         seed: int = 0,
     ) -> "PassSynopsis":
-        t0 = time.perf_counter()
-        n_total = df.count()
-        if boundaries is None:
-            opt = spark_build.optimization_sample(
-                df, value_col, [pred_col], m_opt, n_total, seed=seed
+        def partition(base: DataFrame, n_total: int):
+            b = boundaries
+            if b is None:
+                opt = spark_build.optimization_sample(
+                    base, value_col, [pred_col], m_opt, n_total, seed=seed
+                )
+                a = opt[value_col].to_numpy(dtype=np.float64)
+                c = opt[pred_col].to_numpy(dtype=np.float64)
+                if partitioner == "adp":
+                    cuts, _ = ADP(a, k_partitions).cuts(k_partitions)
+                elif partitioner == "eq":
+                    cuts = equal_depth_cuts(len(a), k_partitions)
+                else:
+                    raise ValueError(f"unknown partitioner {partitioner!r}")
+                b = cuts_to_boundaries(c, cuts)
+            b = np.asarray(b, dtype=np.float64)
+            return (
+                spark_build.with_leaf_1d(base, pred_col, b), len(b) + 1, build_tree,
+                lambda x: assign_partitions(np.asarray(x, float)[:, 0], b),
             )
-            a = opt[value_col].to_numpy(dtype=np.float64)
-            c = opt[pred_col].to_numpy(dtype=np.float64)
-            if partitioner == "adp":
-                cuts, _ = ADP(a, k_partitions).cuts(k_partitions)
-            elif partitioner == "eq":
-                cuts = equal_depth_cuts(len(a), k_partitions)
-            else:
-                raise ValueError(f"unknown partitioner {partitioner!r}")
-            boundaries = cuts_to_boundaries(c, cuts)
-        df_leaf = spark_build.with_leaf_1d(df, pred_col, boundaries)
-        b = np.asarray(boundaries, dtype=np.float64)
-        return cls._finish(
-            df_leaf, [pred_col], value_col, n_total, t0,
-            n_leaves=len(boundaries) + 1, make_root=build_tree,
-            assign=lambda x: assign_partitions(np.asarray(x, float)[:, 0], b),
-            sample_total=sample_total, alloc=alloc, sample_cols=sample_cols,
-            use_aggregates=use_aggregates, seed=seed,
+
+        return cls._build(
+            df, [pred_col], value_col, partition, sample_total=sample_total, alloc=alloc,
+            sample_cols=sample_cols, use_aggregates=use_aggregates, seed=seed,
         )
 
     @classmethod
@@ -135,39 +136,53 @@ class PassSynopsis:
         sample_cols: list[str] | None = None,
         seed: int = 0,
     ) -> "PassSynopsis":
-        t0 = time.perf_counter()
-        n_total = df.count()
-        opt = spark_build.optimization_sample(df, value_col, pred_cols, m_opt, n_total, seed=seed)
-        x = opt[pred_cols].to_numpy(dtype=np.float64)
-        a = opt[value_col].to_numpy(dtype=np.float64)
-        kd = KDTree(x, a, k_leaves, seed=seed)
-        df_leaf = spark_build.with_leaf_fn(df, pred_cols, kd.assign)
-        return cls._finish(
-            df_leaf, pred_cols, value_col, n_total, t0,
-            n_leaves=kd.n_leaves, make_root=lambda leaves: _tree_from_kd(kd.root, leaves),
-            assign=kd.assign, sample_total=sample_total, alloc=alloc,
+        def partition(base: DataFrame, n_total: int):
+            opt = spark_build.optimization_sample(
+                base, value_col, pred_cols, m_opt, n_total, seed=seed
+            )
+            x = opt[pred_cols].to_numpy(dtype=np.float64)
+            a = opt[value_col].to_numpy(dtype=np.float64)
+            kd = KDTree(x, a, k_leaves, seed=seed)
+            return (
+                spark_build.with_leaf_fn(base, pred_cols, kd.assign), kd.n_leaves,
+                lambda leaves: _tree_from_kd(kd.root, leaves), kd.assign,
+            )
+
+        return cls._build(
+            df, pred_cols, value_col, partition, sample_total=sample_total, alloc=alloc,
             sample_cols=sample_cols, seed=seed,
         )
 
     @classmethod
-    def _finish(
-        cls, df_leaf, pred_cols, value_col, n_total, t0, *,
-        n_leaves, make_root, assign, sample_total, alloc, sample_cols, seed,
-        use_aggregates=True,
+    def _build(
+        cls, df, pred_cols, value_col, partition, *,
+        sample_total, alloc, sample_cols, seed, use_aggregates=True,
     ) -> "PassSynopsis":
-        """Shared tail of both builders: leaf aggregates, the tree
-        ``make_root`` builds over them, and the per-leaf samples."""
-        agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols)
-        leaf_nodes = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, n_leaves)
-        root = make_root(leaf_nodes)
-        k_per_leaf = allocate_budget(
-            [l.stats.count for l in leaf_nodes], sample_total, alloc
-        )
+        """Shared body of both builders. The input is projected and
+        materialised once; ``partition(base, n_total)`` returns the
+        leaf-tagged frame, the leaf count, the ``make_root`` that builds
+        the tree over the leaves and the driver-side assigner. The tagged
+        frame is materialised too, for the two passes over it: the leaf
+        aggregates and the per-leaf samples. Both are freed on every exit."""
+        t0 = time.perf_counter()
         sample_cols = list(sample_cols) if sample_cols is not None else list(pred_cols)
-        sample_pdf = spark_build.stratified_sample(
-            df_leaf, value_col, sample_cols,
-            {i: k for i, k in enumerate(k_per_leaf) if k > 0}, seed=seed,
-        )
+        cols = dict.fromkeys([*pred_cols, *sample_cols, value_col])
+        base = spark_build.checkpoint(df.select(*cols))
+        df_leaf = None
+        try:
+            n_total = base.count()  # fills the checkpoint
+            tagged, n_leaves, make_root, assign = partition(base, n_total)
+            df_leaf = spark_build.checkpoint(tagged)
+            agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols)
+            leaf_nodes = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, n_leaves)
+            root = make_root(leaf_nodes)
+            counts = [l.stats.count for l in leaf_nodes]
+            sample_pdf = spark_build.stratified_sample(
+                df_leaf, value_col, sample_cols,
+                allocate_budget(counts, sample_total, alloc), counts, seed=seed,
+            )
+        finally:
+            spark_build.release(base, df_leaf)
         samples: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for lid, grp in sample_pdf.groupby(spark_build.LEAF_COL):
             samples[int(lid)] = (
